@@ -25,14 +25,14 @@ reports stay on stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 from repro.analysis.trace import write_trace
-from repro.faults import SCENARIOS, FaultPlan, scenario
-from repro.hardware.platform import Platform
-from repro.kernel.simulator import SimulationConfig, System
+from repro.faults import SCENARIOS
+from repro.kernel.simulator import SimulationConfig
 from repro.obs import (
     LOG_LEVELS,
     ObsContext,
@@ -46,32 +46,16 @@ from repro.obs import (
     write_jsonl,
 )
 from repro.obs.export import read_jsonl
-from repro.runner.factories import (
-    BALANCERS,
-    PLATFORMS,
+from repro.runner.engine import execute_spec
+from repro.runner.factories import (  # noqa: F401 (re-exported resolvers)
+    catalogue,
     make_balancer,
     make_platform,
     make_workload,
 )
-from repro.workload.parsec import BENCHMARKS, MIXES
-from repro.workload.synthetic import IMB_CONFIGS
+from repro.runner.spec import RunSpec
 
 _log = get_logger("cli")
-
-
-def make_fault_plan(args, platform: Platform) -> "FaultPlan | None":
-    """Resolve ``--faults``/``--fault-seed`` into a plan, if requested."""
-    if not getattr(args, "faults", None):
-        return None
-    config = SimulationConfig(seed=args.seed)
-    duration_s = args.epochs * config.epoch_s
-    fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
-    return scenario(
-        args.faults,
-        seed=fault_seed,
-        n_cores=len(platform),
-        duration_s=duration_s,
-    )
 
 
 def print_resilience(result) -> None:
@@ -101,61 +85,117 @@ def print_resilience(result) -> None:
 
 
 def cmd_list(args) -> int:
-    from repro.governor.config import GOVERNOR_STRATEGIES
-    from repro.runner.factories import catalogue
-
+    names = catalogue()
     if getattr(args, "json", False):
-        user_output(json.dumps(catalogue(), indent=2, sort_keys=True))
+        user_output(json.dumps(names, indent=2, sort_keys=True))
         return 0
-    user_output("platforms :", ", ".join(sorted(PLATFORMS)), "+ hmp:<n>")
-    user_output("balancers :", ", ".join(sorted(BALANCERS) + ["smartbalance"]))
-    user_output("governors :", ", ".join(sorted(GOVERNOR_STRATEGIES)),
-                "+ pinned:<level>")
-    user_output("imb       :", ", ".join(IMB_CONFIGS))
-    user_output("benchmarks:", ", ".join(sorted(BENCHMARKS)))
-    user_output("mixes     :", ", ".join(sorted(MIXES)))
-    user_output("faults    :", ", ".join(SCENARIOS))
-    from repro.scenarios import SCENARIO_FAMILIES
-
-    user_output("scenarios :", ", ".join(SCENARIO_FAMILIES),
-                "+ <family>:<key>=<value>,...")
+    workloads, scenarios, fleet = (
+        names["workloads"], names["scenarios"], names["fleet"]
+    )
+    rows = (
+        ("platforms", names["platforms"] + names["platform_patterns"]),
+        ("balancers", names["balancers"]),
+        ("governors", names["governors"] + names["governor_patterns"]),
+        ("imb", workloads["imb"]),
+        ("benchmarks", workloads["benchmarks"]),
+        ("mixes", workloads["mixes"]),
+        ("special", workloads["special"]),
+        ("faults", names["faults"]),
+        ("scenarios", scenarios["families"] + scenarios["patterns"]),
+        ("fleet policies", fleet["policies"]),
+        ("fleet faults", fleet["faults"]),
+    )
+    width = max(len(label) for label, _ in rows)
+    for label, values in rows:
+        user_output(f"{label:<{width}}:", ", ".join(values))
     return 0
 
 
-def cmd_run(args) -> int:
-    platform = make_platform(args.platform)
-    workload = make_workload(args.workload, args.threads, args.seed)
-    balancer = make_balancer(
-        args.balancer,
-        mitigations=not args.no_mitigations,
-        adaptation=args.adapt,
-        governor=args.governor,
-    )
-    plan = make_fault_plan(args, platform)
-    obs = ObsContext() if args.trace_out else None
-    config = SimulationConfig(seed=args.seed, faults=plan, kernel=args.kernel)
-    scenario_rt = None
-    if getattr(args, "scenario", "none") != "none":
-        from repro.scenarios import build_scenario
+#: Every run flag, declared once: flag -> (the ``RunSpec`` field it
+#: sets, ``add_argument`` keywords).  ``run``, ``compare`` and ``submit``
+#: each declare a subset (:func:`_add_run_flags`); the field name is the
+#: argparse dest, so :func:`_spec_from_args` reads the spec straight off
+#: the namespace.
+_RUN_FLAGS = {
+    "--platform": ("platform", dict(
+        default="quad", help="platform preset or hmp:<n> (default quad)",
+    )),
+    "--workload": ("workload", dict(
+        required=True,
+        help="IMB config, PARSEC benchmark, mix or random (see `repro list`)",
+    )),
+    "--threads": ("threads", dict(
+        type=int, default=8, help="threads in the workload (default 8)",
+    )),
+    "--balancer": ("balancer", dict(
+        default="smartbalance", help="balancer name (default smartbalance)",
+    )),
+    "--epochs": ("n_epochs", dict(
+        type=int, default=40, metavar="EPOCHS",
+        help="epochs to simulate (default 40)",
+    )),
+    "--seed": ("seed", dict(
+        type=int, default=0, help="workload and sensing-noise seed",
+    )),
+    "--faults": ("faults", dict(
+        choices=SCENARIOS, help="inject a named fault scenario",
+    )),
+    "--fault-seed": ("fault_seed", dict(
+        type=int, default=None,
+        help="seed of the fault schedule (default: --seed)",
+    )),
+    "--no-mitigations": ("mitigations", dict(
+        action="store_false",
+        help="ablate every resilience defence (smartbalance only)",
+    )),
+    "--adapt": ("adaptation", dict(
+        action=argparse.BooleanOptionalAction, default=False,
+        help="online model maintenance: drift-triggered RLS re-fits "
+        "with registry rollback (smartbalance only; default off)",
+    )),
+    "--governor": ("governor", dict(
+        default="fixed", metavar="STRATEGY",
+        help="joint placement + per-cluster DVFS co-optimisation "
+        "(smartbalance only): fixed (off, default), two_level, "
+        "coupled_anneal or pinned:<level>",
+    )),
+    "--scenario": ("scenario", dict(
+        default="none", metavar="SPEC",
+        help="workload scenario (docs/scenarios.md): none (default), "
+        "openloop[:rate=..,slo_ms=..], barrier[:groups=..,members=..] "
+        "or smt[:cores=..,corunners=..]",
+    )),
+}
 
-        try:
-            workload, scenario_rt = build_scenario(
-                args.scenario,
-                workload,
-                seed=args.seed,
-                period_s=config.period_s,
-                periods_per_epoch=config.periods_per_epoch,
-                n_epochs=args.epochs,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-    system = System(
-        platform, workload, balancer,
-        config,
-        obs=obs,
-        scenario=scenario_rt,
-    )
-    result = system.run(n_epochs=args.epochs)
+
+def _add_run_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        field, kwargs = _RUN_FLAGS[flag]
+        parser.add_argument(flag, dest=field, **kwargs)
+
+
+def _spec_from_args(args) -> RunSpec:
+    """The :class:`RunSpec` of a subcommand's run flags.
+
+    A run flag the subcommand does not declare leaves its field at the
+    ``RunSpec`` default.
+    """
+    given = vars(args)
+    fields = {
+        field: given[field] for field, _ in _RUN_FLAGS.values()
+        if field in given
+    }
+    if "kernel" in given:
+        fields["config"] = SimulationConfig(kernel=args.kernel)
+    try:
+        return RunSpec(**fields)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+
+
+def cmd_run(args) -> int:
+    obs = ObsContext() if args.trace_out else None
+    result = execute_spec(_spec_from_args(args), obs=obs)
     if args.json:
         # Machine mode: the deterministic metrics document is the whole
         # of stdout (wall-clock timings excluded), so two runs of the
@@ -236,17 +276,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    platform = make_platform(args.platform)
-    plan = make_fault_plan(args, platform)
+    spec = _spec_from_args(args)
     names = args.balancers or ["vanilla", "smartbalance"]
     results = {}
     for name in names:
-        workload = make_workload(args.workload, args.threads, args.seed)
-        system = System(
-            platform, workload, make_balancer(name),
-            SimulationConfig(seed=args.seed, faults=plan),
-        )
-        results[name] = system.run(n_epochs=args.epochs)
+        results[name] = execute_spec(dataclasses.replace(spec, balancer=name))
         user_output(f"{name:>13}: {results[name].ips_per_watt:.4e} instructions/J")
     baseline = results[names[0]]
     for name in names[1:]:
@@ -398,11 +432,11 @@ def cmd_sweep(args) -> int:
         raise SystemExit(
             f"unknown sweep ids {unknown}; known: {list(SWEEP_IDS)}"
         )
-    catalogue = {}
+    by_id = {}
     for module in (experiments.fig4, experiments.fig5, experiments.resilience):
         for sweep_exp in module.sweep_experiments():
-            catalogue[sweep_exp.experiment_id] = sweep_exp
-    chosen = [catalogue[i] for i in selected]
+            by_id[sweep_exp.experiment_id] = sweep_exp
+    chosen = [by_id[i] for i in selected]
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if args.trace_dir and cache is not None:
         _log.info("tracing requested; result cache bypassed for this sweep")
@@ -467,29 +501,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _spec_payload_from_args(args) -> dict:
-    """The job payload equivalent to ``repro run``'s flags."""
-    payload = {
-        "workload": args.workload,
-        "platform": args.platform,
-        "threads": args.threads,
-        "balancer": args.balancer,
-        "n_epochs": args.epochs,
-        "seed": args.seed,
-        "mitigations": not args.no_mitigations,
-        "adaptation": args.adapt,
-    }
-    if getattr(args, "governor", "fixed") != "fixed":
-        payload["governor"] = args.governor
-    if getattr(args, "scenario", "none") != "none":
-        payload["scenario"] = args.scenario
-    if args.faults:
-        payload["faults"] = args.faults
-        if args.fault_seed is not None:
-            payload["fault_seed"] = args.fault_seed
-    return payload
-
-
 def cmd_serve(args) -> int:
     """Run the job service until SIGTERM/SIGINT, then drain."""
     from repro.runner import resolve_jobs
@@ -508,12 +519,14 @@ def cmd_serve(args) -> int:
 
 def cmd_submit(args) -> int:
     """Submit one job to a running service; optionally wait/follow."""
+    from repro.service.api import payload_from_spec
     from repro.service.client import Client, ServiceError
 
+    payload = payload_from_spec(_spec_from_args(args))
     client = Client(host=args.host, port=args.port)
     try:
         (job,) = client.submit(
-            _spec_payload_from_args(args),
+            payload,
             priority=args.priority,
             timeout_s=args.timeout,
         )
@@ -625,12 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="simulate one workload under one balancer")
-    run.add_argument("--platform", default="quad")
-    run.add_argument("--workload", required=True)
-    run.add_argument("--threads", type=int, default=8)
-    run.add_argument("--balancer", default="smartbalance")
-    run.add_argument("--epochs", type=int, default=40)
-    run.add_argument("--seed", type=int, default=0)
+    _add_run_flags(
+        run, "--platform", "--workload", "--threads", "--balancer",
+        "--epochs", "--seed", "--faults", "--fault-seed",
+        "--no-mitigations", "--adapt", "--governor", "--scenario",
+    )
     run.add_argument("--trace", help="write per-epoch trace (.csv or .json)")
     run.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -639,39 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
         "Chrome/Perfetto trace",
     )
     run.add_argument(
-        "--faults", choices=SCENARIOS,
-        help="inject a named fault scenario into the run",
-    )
-    run.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="seed of the fault schedule (default: --seed)",
-    )
-    run.add_argument(
-        "--no-mitigations", action="store_true",
-        help="ablate every resilience defence (smartbalance only)",
-    )
-    run.add_argument(
-        "--adapt", action=argparse.BooleanOptionalAction, default=False,
-        help="online model maintenance: drift-triggered RLS re-fits "
-        "with registry rollback (smartbalance only; default off)",
-    )
-    run.add_argument(
-        "--governor", default="fixed", metavar="STRATEGY",
-        help="joint placement + per-cluster DVFS co-optimisation "
-        "(smartbalance only): fixed (off, default), two_level, "
-        "coupled_anneal or pinned:<level>",
-    )
-    run.add_argument(
         "--kernel", choices=("soa", "reference"), default="soa",
         help="kernel engine: vectorised structure-of-arrays core (soa, "
         "default) or the object-per-task reference path; both are "
         "digest-identical (see docs/kernel.md)",
-    )
-    run.add_argument(
-        "--scenario", default="none", metavar="SPEC",
-        help="workload scenario (docs/scenarios.md): none (default), "
-        "openloop[:rate=..,slo_ms=..], barrier[:groups=..,members=..] "
-        "or smt[:cores=..,corunners=..]",
     )
     run.add_argument(
         "--json", action="store_true",
@@ -680,18 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     compare = sub.add_parser("compare", help="run several balancers on one workload")
-    compare.add_argument("--platform", default="quad")
-    compare.add_argument("--workload", required=True)
-    compare.add_argument("--threads", type=int, default=8)
-    compare.add_argument("--epochs", type=int, default=40)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument(
-        "--faults", choices=SCENARIOS,
-        help="inject a named fault scenario into every run",
-    )
-    compare.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="seed of the fault schedule (default: --seed)",
+    _add_run_flags(
+        compare, "--platform", "--workload", "--threads", "--epochs",
+        "--seed", "--faults", "--fault-seed",
     )
     compare.add_argument("balancers", nargs="*", metavar="balancer")
 
@@ -871,29 +845,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=None,
         help="service port (default: REPRO_SERVICE_PORT or 8642)",
     )
-    submit.add_argument("--platform", default="quad")
-    submit.add_argument("--workload", required=True)
-    submit.add_argument("--threads", type=int, default=8)
-    submit.add_argument("--balancer", default="smartbalance")
-    submit.add_argument("--epochs", type=int, default=40)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--faults", choices=SCENARIOS,
-        help="inject a named fault scenario into the run",
-    )
-    submit.add_argument("--fault-seed", type=int, default=None)
-    submit.add_argument("--no-mitigations", action="store_true")
-    submit.add_argument(
-        "--adapt", action=argparse.BooleanOptionalAction, default=False,
-        help="online model maintenance (smartbalance only; default off)",
-    )
-    submit.add_argument(
-        "--governor", default="fixed", metavar="STRATEGY",
-        help="DVFS governor strategy (smartbalance only; default fixed)",
-    )
-    submit.add_argument(
-        "--scenario", default="none", metavar="SPEC",
-        help="workload scenario (default none; see docs/scenarios.md)",
+    _add_run_flags(
+        submit, "--platform", "--workload", "--threads", "--balancer",
+        "--epochs", "--seed", "--faults", "--fault-seed",
+        "--no-mitigations", "--adapt", "--governor", "--scenario",
     )
     submit.add_argument(
         "--priority", type=int, default=0,

@@ -98,18 +98,20 @@ def _smart_balancer(
         adaptation=AdaptationConfig(enabled=adaptation),
     )
     if governor != "fixed":
-        if variant != "stock":
-            raise SystemExit(
-                f"balancer variant {variant!r} cannot be combined with a "
-                "DVFS governor"
-            )
         from repro.governor import GovernorKernelAdapter, parse_governor
 
         try:
             parsed = parse_governor(governor)
         except ValueError as exc:
             raise SystemExit(str(exc)) from None
-        return GovernorKernelAdapter(parsed, config=config)
+        # parse_governor tolerates padding: " fixed" is no governor too.
+        if parsed.strategy != "fixed":
+            if variant != "stock":
+                raise SystemExit(
+                    f"balancer variant {variant!r} cannot be combined "
+                    "with a DVFS governor"
+                )
+            return GovernorKernelAdapter(parsed, config=config)
     return SmartBalanceKernelAdapter(config=config, variant=variant)
 
 

@@ -12,7 +12,6 @@ otherwise bit-identical runs.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 from repro.kernel.metrics import (
     CoreStats,
@@ -21,7 +20,6 @@ from repro.kernel.metrics import (
     RunResult,
     TaskStats,
 )
-
 from repro.runner.spec import stable_hash
 
 
@@ -103,11 +101,6 @@ def metrics_dict(result: RunResult) -> dict:
     data.pop("phase_times", None)
     data.pop("attempts", None)
     return data
-
-
-def dumps_canonical(data: dict) -> str:
-    """Canonical JSON encoding (sorted keys, no whitespace)."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def metrics_digest(result: RunResult) -> str:

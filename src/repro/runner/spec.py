@@ -12,6 +12,10 @@ using only strings and scalars, so it can be
 * **compared** for deduplication when several experiments request the
   same run inside one sweep.
 
+It is also the one description of a run that every front end shares:
+the CLI turns its run flags into a spec and executes it, and the job
+service's JSON payload is the spec's fields.
+
 Per-job seeds for replicated sweeps derive from a base seed and the
 spec identity (:func:`derive_seed`): jobs are decorrelated from each
 other yet fully reproducible, independent of worker scheduling order.
@@ -81,9 +85,12 @@ def stable_hash(payload: dict, length: int = 40) -> str:
 class RunSpec:
     """One (platform, workload, balancer, scale, seed, faults) job.
 
-    Field semantics match the CLI flags of ``python -m repro run``;
-    resolution happens through :mod:`repro.runner.factories`, so a spec
-    and the equivalent command line produce identical runs.
+    The single route from run knobs to a run: ``repro run``/``compare``
+    build a spec from their flags and call
+    :func:`repro.runner.engine.execute_spec`, and the job service's
+    payloads (``repro submit`` included) are this class's fields (see
+    :mod:`repro.service.api`).  A spec and the equivalent command line
+    therefore produce identical runs.
     """
 
     #: Workload name: IMB config, PARSEC benchmark, mix or ``random``.
@@ -143,23 +150,11 @@ class RunSpec:
     # ------------------------------------------------------------------
 
     def canonical(self) -> dict:
-        """JSON-ready canonical form (the hashed identity)."""
-        return {
-            "workload": self.workload,
-            "platform": self.platform,
-            "threads": self.threads,
-            "balancer": self.balancer,
-            "n_epochs": self.n_epochs,
-            "seed": self.seed,
-            "workload_seed": self.workload_seed,
-            "faults": self.faults,
-            "fault_seed": self.fault_seed,
-            "mitigations": self.mitigations,
-            "adaptation": self.adaptation,
-            "governor": self.governor,
-            "scenario": self.scenario,
-            "config": config_fingerprint(self.config),
-        }
+        """JSON-ready canonical form (the hashed identity): every field,
+        with ``config`` as its :func:`config_fingerprint`."""
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        data["config"] = config_fingerprint(self.config)
+        return data
 
     def spec_key(self) -> str:
         """Stable cache key: spec identity + config + code version."""

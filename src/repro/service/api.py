@@ -1,9 +1,13 @@
 """Request validation: JSON payloads <-> :class:`RunSpec`.
 
-The service speaks the same vocabulary as the CLI: a job payload is
-the JSON shape of a :class:`~repro.runner.spec.RunSpec`, with names
+The service speaks the same vocabulary as the CLI because both go
+through :class:`~repro.runner.spec.RunSpec`: a job payload is the JSON
+shape of a spec (its keys are the spec's fields, a missing key takes
+the field's default, and ``repro submit`` sends
+:func:`payload_from_spec` of the spec its flags build).  Names are
 validated against :func:`repro.runner.factories.catalogue` — the same
-source of truth ``repro list --json`` prints — so a spec the API
+source of truth ``repro list`` prints — and the governor and scenario
+strings by the parsers that own their formats, so a spec the API
 accepts is exactly a spec the runner can execute.
 
 Validation errors raise :class:`ApiError` with an HTTP status and a
@@ -16,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
+from repro.governor.config import parse_governor
 from repro.hardware.sensors import NoiseModel
 from repro.kernel.simulator import SimulationConfig
 from repro.runner.factories import catalogue, workload_names
@@ -39,23 +44,12 @@ class ApiError(Exception):
         return payload
 
 
-#: Payload keys accepted on a job spec, mirroring ``RunSpec`` fields.
-SPEC_FIELDS = (
-    "workload",
-    "platform",
-    "threads",
-    "balancer",
-    "n_epochs",
-    "seed",
-    "workload_seed",
-    "faults",
-    "fault_seed",
-    "mitigations",
-    "adaptation",
-    "governor",
-    "scenario",
-    "config",
-)
+#: Payload keys accepted on a job spec: exactly the ``RunSpec`` fields.
+SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(RunSpec))
+
+#: A spec with only its required field set: it carries the default of
+#: every payload key a job may omit.
+_DEFAULT = RunSpec(workload="")
 
 #: ``SimulationConfig`` fields settable through the API.  ``seed`` and
 #: ``faults`` are owned by the spec (same rule as ``RunSpec.config``).
@@ -69,9 +63,9 @@ CONFIG_FIELDS = {
 }
 
 
-def _require_int(payload: dict, key: str, default: int,
+def _require_int(payload: dict, key: str,
                  minimum: Optional[int] = None) -> int:
-    value = payload.get(key, default)
+    value = payload.get(key, getattr(_DEFAULT, key))
     if isinstance(value, bool) or not isinstance(value, int):
         raise ApiError(f"{key} must be an integer, got {value!r}", field=key)
     if minimum is not None and value < minimum:
@@ -86,6 +80,13 @@ def _optional_int(payload: dict, key: str) -> Optional[int]:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ApiError(f"{key} must be an integer or null, got {value!r}",
                        field=key)
+    return value
+
+
+def _require_bool(payload: dict, key: str) -> bool:
+    value = payload.get(key, getattr(_DEFAULT, key))
+    if not isinstance(value, bool):
+        raise ApiError(f"{key} must be a boolean", field=key)
     return value
 
 
@@ -158,7 +159,7 @@ def spec_from_payload(payload: object) -> RunSpec:
             field="workload",
         )
 
-    platform = payload.get("platform", "quad")
+    platform = payload.get("platform", _DEFAULT.platform)
     if not isinstance(platform, str):
         raise ApiError("platform must be a string", field="platform")
     if platform not in names["platforms"]:
@@ -176,7 +177,7 @@ def spec_from_payload(payload: object) -> RunSpec:
                 field="platform",
             )
 
-    balancer = payload.get("balancer", "smartbalance")
+    balancer = payload.get("balancer", _DEFAULT.balancer)
     if balancer not in names["balancers"]:
         raise ApiError(
             f"unknown balancer {balancer!r}; one of {names['balancers']}",
@@ -190,38 +191,20 @@ def spec_from_payload(payload: object) -> RunSpec:
             field="faults",
         )
 
-    mitigations = payload.get("mitigations", True)
-    if not isinstance(mitigations, bool):
-        raise ApiError("mitigations must be a boolean", field="mitigations")
-
-    adaptation = payload.get("adaptation", False)
-    if not isinstance(adaptation, bool):
-        raise ApiError("adaptation must be a boolean", field="adaptation")
-
-    governor = payload.get("governor", "fixed")
+    governor = payload.get("governor", _DEFAULT.governor)
     if not isinstance(governor, str):
         raise ApiError("governor must be a string", field="governor")
-    if governor not in names["governors"]:
-        if governor.startswith("pinned:"):
-            suffix = governor.split(":", 1)[1]
-            if not suffix.isdigit():
-                raise ApiError(
-                    f"malformed governor {governor!r}; use pinned:<level>",
-                    field="governor",
-                )
-        else:
-            raise ApiError(
-                f"unknown governor {governor!r}; one of "
-                f"{names['governors']} or pinned:<level>",
-                field="governor",
-            )
+    try:
+        parse_governor(governor)
+    except ValueError as exc:
+        raise ApiError(str(exc), field="governor") from None
     if governor != "fixed" and balancer != "smartbalance":
         raise ApiError(
             f"governor {governor!r} requires the smartbalance balancer",
             field="governor",
         )
 
-    scenario = payload.get("scenario", "none")
+    scenario = payload.get("scenario", _DEFAULT.scenario)
     if not isinstance(scenario, str):
         raise ApiError("scenario must be a string", field="scenario")
     if scenario != "none":
@@ -233,21 +216,21 @@ def spec_from_payload(payload: object) -> RunSpec:
     config = (
         _config_from_payload(payload["config"])
         if payload.get("config") is not None
-        else SimulationConfig()
+        else _DEFAULT.config
     )
     try:
         return RunSpec(
             workload=workload,
             platform=platform,
-            threads=_require_int(payload, "threads", 8, minimum=1),
+            threads=_require_int(payload, "threads", minimum=1),
             balancer=balancer,
-            n_epochs=_require_int(payload, "n_epochs", 12, minimum=1),
-            seed=_require_int(payload, "seed", 0),
+            n_epochs=_require_int(payload, "n_epochs", minimum=1),
+            seed=_require_int(payload, "seed"),
             workload_seed=_optional_int(payload, "workload_seed"),
             faults=faults,
             fault_seed=_optional_int(payload, "fault_seed"),
-            mitigations=mitigations,
-            adaptation=adaptation,
+            mitigations=_require_bool(payload, "mitigations"),
+            adaptation=_require_bool(payload, "adaptation"),
             governor=governor,
             scenario=scenario,
             config=config,
@@ -263,28 +246,14 @@ def payload_from_spec(spec: RunSpec) -> dict:
     inverses (pinned by the API tests), which is what lets the client
     submit real :class:`RunSpec` objects over the wire.
     """
-    payload = {
-        "workload": spec.workload,
-        "platform": spec.platform,
-        "threads": spec.threads,
-        "balancer": spec.balancer,
-        "n_epochs": spec.n_epochs,
-        "seed": spec.seed,
-        "workload_seed": spec.workload_seed,
-        "faults": spec.faults,
-        "fault_seed": spec.fault_seed,
-        "mitigations": spec.mitigations,
-        "adaptation": spec.adaptation,
-        "governor": spec.governor,
-        "scenario": spec.scenario,
+    payload = spec.canonical()
+    default = config_fingerprint(_DEFAULT.config)
+    config = {
+        key: value for key, value in payload.pop("config").items()
+        if value != default[key]
     }
-    if spec.config != SimulationConfig():
-        config = config_fingerprint(spec.config)
-        default = config_fingerprint(SimulationConfig())
-        payload["config"] = {
-            key: value for key, value in config.items()
-            if value != default[key]
-        }
+    if config:
+        payload["config"] = config
     return payload
 
 
@@ -329,6 +298,4 @@ def specs_from_request(body: object) -> "tuple[list[RunSpec], dict]":
 
 def spec_to_dict(spec: RunSpec) -> dict:
     """Spec as shown in job-status responses (canonical identity)."""
-    data = dataclasses.asdict(spec)
-    data["config"] = config_fingerprint(spec.config)
-    return data
+    return spec.canonical()

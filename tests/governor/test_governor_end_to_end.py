@@ -38,6 +38,13 @@ class TestFixedIdentity:
         assert explicit.governor is None
         assert metrics_digest(default) == metrics_digest(explicit)
 
+    def test_padded_fixed_is_no_governor(self):
+        """parse_governor (and so the service API) accepts " fixed ";
+        the runner must then run the governor-free pipeline, not fail."""
+        padded = execute_spec(spec(" fixed ", epochs=3))
+        assert padded.governor is None
+        assert metrics_digest(padded) == metrics_digest(execute_spec(spec(epochs=3)))
+
     def test_never_switching_governor_changes_nothing_physical(self):
         """pinned at the top (nominal) rung: the governor is active but
         every cluster stays at nominal, so no OPP change is ever

@@ -92,6 +92,8 @@ class TestRefusals:
             ("platform", "hmp:0"),
             ("balancer", "magic"),
             ("faults", "asteroid"),
+            ("governor", "pinned"),
+            ("governor", "pinned:x"),
             ("scenario", "bogus:nope=1"),
             ("scenario", "openloop:rate=-5"),
             ("scenario", "barrier:members"),

@@ -1,12 +1,25 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import main, make_balancer, make_platform, make_workload
+from repro.cli import (
+    _spec_from_args,
+    build_parser,
+    main,
+    make_balancer,
+    make_platform,
+    make_workload,
+)
+from repro.kernel.simulator import SimulationConfig
 from repro.obs import validate_events
 from repro.obs.export import read_jsonl
+from repro.runner import RunSpec, catalogue
+from repro.runner.engine import execute_spec
+from repro.runner.serialize import metrics_dict
+from repro.service.api import payload_from_spec, spec_from_payload
 
 
 class TestResolvers:
@@ -44,6 +57,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "bodytrack" in out
         assert "smartbalance" in out
+
+    def test_list_names_every_catalogue_entry(self, capsys):
+        """The text listing is rendered from the catalogue, so it cannot
+        drift from it (it once left out the tpeq and slo balancers)."""
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        rows = dict(line.split(":", 1) for line in out.splitlines())
+        listed = {label.strip(): value for label, value in rows.items()}
+        balancers = {name.strip() for name in listed["balancers"].split(",")}
+        assert balancers == set(catalogue()["balancers"])
+        assert "scenarios" in listed  # CI greps for this label
+
+        def names(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    if key != "params":  # parameter defaults, not names
+                        yield from names(value)
+            else:
+                yield from node
+
+        for name in names(catalogue()):
+            assert name in out, name
 
     def test_list_json_is_machine_readable(self, capsys):
         """Satellite: `repro list --json` mirrors the factories'
@@ -130,6 +165,115 @@ class TestCommands:
         assert main(["train", "--output", str(out)]) == 0
         model = json.loads(out.read_text())
         assert "theta" in model and "power_lines" in model
+
+
+#: Run flag sets and the RunSpec fields they stand for (``--epochs``
+#: defaults to 40 on the CLI, 12 on RunSpec).
+FLAG_SETS = {
+    "defaults": (["--workload", "MTMI"], dict(workload="MTMI")),
+    "faults": (
+        ["--workload", "Mix1", "--faults", "combined", "--fault-seed", "3",
+         "--seed", "2"],
+        dict(workload="Mix1", faults="combined", fault_seed=3, seed=2),
+    ),
+    "governor": (
+        ["--platform", "dvfsquad", "--workload", "MTMI",
+         "--governor", "pinned:0", "--adapt"],
+        dict(platform="dvfsquad", workload="MTMI", governor="pinned:0",
+             adaptation=True),
+    ),
+    "scenario": (
+        ["--platform", "biglittle", "--workload", "random",
+         "--scenario", "openloop:rate=80", "--no-mitigations"],
+        dict(platform="biglittle", workload="random",
+             scenario="openloop:rate=80", mitigations=False),
+    ),
+}
+
+
+class TestCliIsRunSpec:
+    """A spec and the equivalent command line produce identical runs."""
+
+    @pytest.mark.parametrize("name", sorted(FLAG_SETS))
+    def test_run_json_equals_execute_spec(self, name, capsys):
+        flags, fields = FLAG_SETS[name]
+        if name == "scenario":
+            flags = flags + ["--kernel", "reference"]
+            fields = dict(fields, config=SimulationConfig(kernel="reference"))
+        assert main(["run", *flags, "--json"]) == 0
+        result = execute_spec(RunSpec(n_epochs=40, **fields))
+        expected = json.dumps(metrics_dict(result), indent=2, sort_keys=True)
+        assert capsys.readouterr().out == expected + "\n"
+
+    @pytest.mark.parametrize("name", sorted(FLAG_SETS))
+    def test_submit_flags_round_trip_through_the_payload(self, name):
+        flags, fields = FLAG_SETS[name]
+        spec = _spec_from_args(build_parser().parse_args(["submit", *flags]))
+        assert spec == RunSpec(n_epochs=40, **fields)
+        assert spec_from_payload(payload_from_spec(spec)) == spec
+
+    def test_bad_spec_value_exits_with_its_message(self):
+        with pytest.raises(SystemExit, match="threads must be >= 1"):
+            main(["run", "--workload", "MTMI", "--threads", "0"])
+
+
+def _subcommand(name: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    (sub,) = (action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+#: Run flags every run-taking subcommand shares.
+_COMMON = {"--platform", "--workload", "--threads", "--epochs", "--seed",
+           "--faults", "--fault-seed"}
+_KNOBS = {"--balancer", "--no-mitigations", "--adapt", "--no-adapt",
+          "--governor", "--scenario"}
+_RUN_DEFAULTS = dict(
+    log_level=None, workload="MTMI", platform="quad", threads=8,
+    n_epochs=40, seed=0, faults=None, fault_seed=None,
+)
+_KNOB_DEFAULTS = dict(
+    balancer="smartbalance", mitigations=True, adaptation=False,
+    governor="fixed", scenario="none",
+)
+
+
+class TestFlagSurface:
+    """The run flags are declared once and shared; each subcommand keeps
+    exactly its own option strings and defaults."""
+
+    OPTIONS = {
+        "run": _COMMON | _KNOBS | {"--trace", "--trace-out", "--kernel",
+                                   "--json"},
+        "compare": set(_COMMON),
+        "submit": _COMMON | _KNOBS | {"--host", "--port", "--priority",
+                                      "--timeout", "--wait", "--follow",
+                                      "--wait-timeout"},
+    }
+    DEFAULTS = {
+        "run": dict(_RUN_DEFAULTS, **_KNOB_DEFAULTS, command="run",
+                    trace=None, trace_out=None, kernel="soa", json=False),
+        "compare": dict(_RUN_DEFAULTS, command="compare", balancers=[]),
+        "submit": dict(_RUN_DEFAULTS, **_KNOB_DEFAULTS, command="submit",
+                       host="127.0.0.1", port=None, priority=0,
+                       timeout=None, wait=False, follow=False,
+                       wait_timeout=None),
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_option_strings(self, command):
+        options = {
+            option
+            for action in _subcommand(command)._actions
+            for option in action.option_strings
+        } - {"-h", "--help"}
+        assert options == self.OPTIONS[command]
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_defaults(self, command):
+        args = build_parser().parse_args([command, "--workload", "MTMI"])
+        assert vars(args) == self.DEFAULTS[command]
 
 
 class TestObservability:
