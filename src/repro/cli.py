@@ -190,7 +190,13 @@ def _spec_from_args(args) -> RunSpec:
     try:
         return RunSpec(**fields)
     except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+        # RunSpec names its fields; the user typed flags.
+        message = str(exc)
+        for flag, (field, _) in _RUN_FLAGS.items():
+            if field in fields and message.startswith(f"{field} "):
+                message = flag + message[len(field):]
+                break
+        raise SystemExit(message) from None
 
 
 def cmd_run(args) -> int:

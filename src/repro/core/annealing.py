@@ -16,11 +16,24 @@ Design notes / deliberate choices:
   orders of magnitude (the paper's Fig. 8(b) constants are for its own
   fixed Gem5 platform; a library must be scale-free).
 * The acceptance test for worse moves uses the paper's integer trick
-  ``randi() mod round(1/probability) == 0``.
+  ``randi() mod round(1/probability) == 0``
+  (:func:`accept_worse_move`, shared with the governor's
+  ``coupled_anneal``).
 * The objective is evaluated incrementally (O(1) per move) via
   :class:`~repro.core.objective.IncrementalEvaluator`, the paper's
   "keeping track of previous computations" optimisation; a full
   re-evaluation mode exists for the ablation.
+* A move costs a few Python-level operations, as the paper's kernel
+  loop is cheap by design (Section 4.3): the evaluator keeps its
+  running state in Python floats and lists and converts a thread's
+  matrix rows the first time a move touches the thread; the loop
+  binds the schedule constants, the RNG and the move function to
+  locals.  Neither changes a digest: every float operation happens in
+  the same order as in the numpy-scalar loop it replaced, so values,
+  accepted moves and results are equal bit for bit (the reference
+  lives in ``tests/core/_sa_oracle.py``; the one Python/numpy
+  difference, a negative base under a fractional ``α``, keeps numpy's
+  ``nan``).
 * Iterations are capped per platform scale by
   :func:`default_iteration_cap` — the Fig. 8(a) trade of solution
   quality for bounded overhead on large systems.
@@ -170,6 +183,30 @@ class SAResult:
         return (self.best_value - self.initial_value) / abs(self.initial_value)
 
 
+def accept_worse_move(
+    diff: float,
+    current: float,
+    acceptance: float,
+    use_fixed_point_exp: bool,
+    rng: Xorshift32,
+) -> bool:
+    """Algorithm 1's test for a worse move (``diff < 0``).
+
+    ``-diff`` is scaled by the acceptance temperature times the current
+    objective's magnitude, clamped to 11 (where the fixed-point ``e^x``
+    underflows), and the move is taken when ``randi() mod
+    round(1/probability) == 0`` -- the paper's integer trick.  Draws
+    from ``rng`` only when the probability is positive.
+    """
+    scale = acceptance * max(abs(current), 1e-30)
+    x = min(-diff / scale, 11.0)
+    probability = exp_neg(x) if use_fixed_point_exp else math.exp(-x)
+    if probability > 0:
+        inverse = max(int(round(1.0 / probability)), 1)
+        return rng.randi() % inverse == 0
+    return False
+
+
 def anneal(
     objective: EnergyEfficiencyObjective,
     initial: Allocation,
@@ -191,6 +228,22 @@ def anneal(
     iterations = config.max_iterations
     if iterations is None:
         iterations = default_iteration_cap(objective.n_cores, objective.n_threads)
+
+    if config.incremental:
+        move = undo = evaluator.apply_swap
+    else:
+
+        def move(pos_a: int, pos_b: int) -> float:
+            working.swap(pos_a, pos_b)
+            return objective.evaluate(working)
+
+        undo = working.swap
+    randi_range = rng.randi_range
+    sqrt = math.sqrt
+    use_fixed_point_exp = config.use_fixed_point_exp
+    perturbation_decay = config.perturbation_decay
+    acceptance_decay = config.acceptance_decay
+    last_slot = total_slots - 1
 
     perturb = config.initial_perturbation
     accept = config.initial_acceptance
@@ -216,51 +269,36 @@ def anneal(
                 truncated = True
                 break
         performed += 1
-        pos = rng.randi_range(0, total_slots)
-        span = math.sqrt(perturb)
-        offset = rng.randi_range(-pos, total_slots - pos)
-        pos_new = pos + int(span * offset)
-        pos_new = min(max(pos_new, 0), total_slots - 1)
+        pos = randi_range(0, total_slots)
+        offset = randi_range(-pos, total_slots - pos)
+        pos_new = pos + int(sqrt(perturb) * offset)
+        if pos_new < 0:
+            pos_new = 0
+        elif pos_new > last_slot:
+            pos_new = last_slot
 
-        if config.incremental:
-            new_value = evaluator.apply_swap(pos, pos_new)
-        else:
-            working.swap(pos, pos_new)
-            new_value = objective.evaluate(working)
+        new_value = move(pos, pos_new)
         diff = new_value - current
-
-        take = False
-        if diff > 0:
-            take = True
-        elif diff < 0:
-            scale = accept * max(abs(current), 1e-30)
-            x = min(-diff / scale, 11.0)
-            probability = exp_neg(x) if config.use_fixed_point_exp else math.exp(-x)
-            if probability > 0:
-                inverse = max(int(round(1.0 / probability)), 1)
-                take = rng.randi() % inverse == 0
+        # A better, neutral (e.g. empty-empty swap) or nan move is
+        # taken; a worse one faces the acceptance test.
+        if diff < 0:
+            take = accept_worse_move(diff, current, accept, use_fixed_point_exp, rng)
+            uphill += take
         else:
-            # Neutral move (e.g. empty-empty swap): accept, it costs
-            # nothing and keeps the walk moving.
             take = True
 
         if take:
             current = new_value
             accepted += 1
-            if diff < 0:
-                uphill += 1
             if current > best_value:
                 best_value = current
                 best_allocation = working.copy()
         else:
             # Swaps are involutive: undo by re-applying.
-            if config.incremental:
-                evaluator.apply_swap(pos, pos_new)
-            else:
-                working.swap(pos, pos_new)
+            undo(pos, pos_new)
 
-        perturb *= config.perturbation_decay
-        accept *= config.acceptance_decay
+        perturb *= perturbation_decay
+        accept *= acceptance_decay
         if trace is not None and performed % trace.stride == 0:
             trace.record(performed, current, best_value, perturb, accept)
 

@@ -74,10 +74,19 @@ every infeasible one.
 Because each core's term depends only on three per-core sums, a thread
 move updates ``J_E`` in O(1) — the "keeping track of previous
 computations" optimisation the paper describes for its SA inner loop.
+:class:`IncrementalEvaluator` keeps those sums, the per-core terms and
+the three aggregates as Python floats and reads a thread's matrix rows
+as lists built the first time a move touches the thread, so one move
+costs a few Python operations rather than numpy-scalar round trips.
+It performs the same float operations in the same order as the numpy
+evaluator it replaced, so its values are bit-identical; see its
+docstring for the one case (a negative base under a fractional ``α``)
+where Python and numpy floats differ.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,6 +107,23 @@ POWER_CAP_PENALTY_EXPONENT = 4.0
 #: onto garbage.  Clamping to a tiny positive wattage keeps J_E finite
 #: and makes corrupt rows merely unattractive rather than explosive.
 POWER_FLOOR_W = 1e-3
+
+
+def _core_terms(
+    sum_u: float, sum_uips: float, sum_up: float, idle_w: float, sleep_w: float
+) -> tuple[float, float]:
+    """One core's (throughput, power) from its three running sums and
+    its idle/sleep power.
+
+    The emptiness test uses a tolerance so incremental add/remove
+    round-off (sums like 1e-16 after a thread leaves) cannot flip a
+    power-gated core into a paying-idle one.
+    """
+    if sum_u <= 1e-9:
+        return 0.0, sleep_w
+    if sum_u <= 1.0:
+        return sum_uips, sum_up + (1.0 - sum_u) * idle_w
+    return sum_uips / sum_u, sum_up / sum_u
 
 
 class EnergyEfficiencyObjective:
@@ -217,21 +243,12 @@ class EnergyEfficiencyObjective:
     def core_terms(
         self, core: int, sum_u: float, sum_uips: float, sum_up: float
     ) -> tuple[float, float]:
-        """One core's (throughput, power) from its three running sums.
-
-        The emptiness test uses a tolerance so incremental add/remove
-        round-off (sums like 1e-16 after a thread leaves) cannot flip a
-        power-gated core into a paying-idle one.
-        """
-        if sum_u <= 1e-9:
-            return 0.0, float(self.sleep_power[core])
-        if sum_u <= 1.0:
-            ips = sum_uips
-            pwr = sum_up + (1.0 - sum_u) * self.idle_power[core]
-        else:
-            ips = sum_uips / sum_u
-            pwr = sum_up / sum_u
-        return ips, pwr
+        """One core's (throughput, power) from its three running sums
+        (see :func:`_core_terms`)."""
+        return _core_terms(
+            sum_u, sum_uips, sum_up,
+            float(self.idle_power[core]), float(self.sleep_power[core]),
+        )
 
     def combine(self, core_ips: np.ndarray, core_power: np.ndarray) -> float:
         """Fold per-core (IPS, P) terms into the scalar ``J_E``."""
@@ -336,6 +353,24 @@ class IncrementalEvaluator:
     :meth:`apply_swap` only, so the running sums stay consistent.
     Swaps are involutive, so rejecting a move is just applying the same
     swap again.
+
+    The annealer calls :meth:`apply_swap` hundreds of thousands of
+    times per run, so the state is plain Python: the per-core running
+    sums, core terms, weights and idle/sleep powers are lists of
+    floats and the three aggregates are floats.  A thread's
+    ``utilization``/``u·ips``/``u·p`` rows (and its affinity row) are
+    converted with ``tolist`` the first time a move touches it, never
+    whole matrices: a search at hmp:1024 scale touches a few of its
+    thousands of threads.
+
+    The values equal those of the numpy-scalar evaluator this replaced
+    bit for bit (``tests/core/_sa_oracle.py`` keeps that reference):
+    every sum is accumulated in the same order, a removal ``a - x`` is
+    the old ``a + (-1.0 * x)`` exactly, and the initial aggregates are
+    the same numpy reductions.  The one place Python and numpy floats
+    differ is ``weighted_ips ** α`` on a negative base, which is a
+    ``complex`` in Python and was ``nan`` in numpy; :attr:`value` keeps
+    ``nan``.
     """
 
     def __init__(self, objective: EnergyEfficiencyObjective, allocation: Allocation) -> None:
@@ -343,54 +378,105 @@ class IncrementalEvaluator:
         self.objective = objective
         self.allocation = allocation
         n = objective.n_cores
-        self._sum_u = np.zeros(n)
-        self._sum_uips = np.zeros(n)
-        self._sum_up = np.zeros(n)
-        self._core_ips = np.zeros(n)
-        self._core_power = np.zeros(n)
-        for core in range(n):
-            for thread in allocation.threads_on(core):
-                self._account(thread, core, +1.0)
-            self._core_ips[core], self._core_power[core] = objective.core_terms(
-                core, self._sum_u[core], self._sum_uips[core], self._sum_up[core]
+        self._slots = allocation.slots
+        self._thread_slot = allocation._thread_slot
+        self._slots_per_core = allocation.slots_per_core
+        self._weights = objective.weights.tolist()
+        self._idle = objective.idle_power.tolist()
+        self._sleep = objective.sleep_power.tolist()
+        #: Per-thread ``(u, u·ips, u·p, allowed)`` row lists, built on
+        #: first touch.
+        self._rows: "list[Optional[tuple]]" = [None] * objective.n_threads
+        self._sum_u = [0.0] * n
+        self._sum_uips = [0.0] * n
+        self._sum_up = [0.0] * n
+        # Threads in (core, slot) order -- the slot array is core-major
+        # -- so each core's sums accumulate in the order they always did.
+        slot_of = self._thread_slot
+        u_at = objective.utilization.item
+        uips_at = objective._uips.item
+        up_at = objective._up.item
+        for thread in sorted(range(objective.n_threads), key=slot_of.__getitem__):
+            core = slot_of[thread] // self._slots_per_core
+            self._sum_u[core] += u_at(thread, core)
+            self._sum_uips[core] += uips_at(thread, core)
+            self._sum_up[core] += up_at(thread, core)
+        # Filled in place: a list of n live (ips, power) tuples would
+        # trigger a young-generation GC pass over the freshly copied
+        # slot array (2M entries at hmp:1024).
+        self._core_ips = [0.0] * n
+        self._core_power = [0.0] * n
+        for j in range(n):
+            self._core_ips[j], self._core_power[j] = _core_terms(
+                self._sum_u[j], self._sum_uips[j], self._sum_up[j],
+                self._idle[j], self._sleep[j],
             )
         self._violations = objective.violations(allocation)
-        self._weighted_ips = float((objective.weights * self._core_ips).sum())
-        self._total_power = float(self._core_power.sum())
+        core_ips = np.array(self._core_ips)
+        core_power = np.array(self._core_power)
+        self._weighted_ips = float((objective.weights * core_ips).sum())
+        self._total_power = float(core_power.sum())
         self._ratio_sum = float(
             (
                 objective.weights
                 * np.where(
-                    self._core_power > 0,
-                    self._core_ips / np.maximum(self._core_power, 1e-30),
+                    core_power > 0,
+                    core_ips / np.maximum(core_power, 1e-30),
                     0.0,
                 )
             ).sum()
         )
+        self._value = self._current_value()
 
     @property
     def value(self) -> float:
         """Current ``J_E``."""
+        return self._value
+
+    def _current_value(self) -> float:
         value = self.objective.scalar_value(
             self._weighted_ips, self._total_power, self._ratio_sum
         )
+        if isinstance(value, complex):
+            # Python's ``negative ** fractional α``; numpy's pow gave nan.
+            value = math.nan
         return value - AFFINITY_VIOLATION_PENALTY * self._violations
 
-    def _account(self, thread: int, core: int, sign: float) -> None:
+    def _build_row(self, thread: int) -> tuple:
         obj = self.objective
-        self._sum_u[core] += sign * obj.utilization[thread, core]
-        # Reuse the objective's cached u·ips / u·p vectors instead of
-        # re-multiplying on every annealer move.
-        self._sum_uips[core] += sign * obj._uips[thread, core]
-        self._sum_up[core] += sign * obj._up[thread, core]
+        allowed = obj.allowed
+        row = self._rows[thread] = (
+            obj.utilization[thread].tolist(),
+            obj._uips[thread].tolist(),
+            obj._up[thread].tolist(),
+            None if allowed is None else allowed[thread].tolist(),
+        )
+        return row
+
+    def _move(self, thread: int, src: int, dst: int) -> None:
+        """Take ``thread``'s terms off core ``src`` and onto ``dst``."""
+        row = self._rows[thread]
+        if row is None:
+            row = self._build_row(thread)
+        u, uips, up, allowed = row
+        sum_u, sum_uips, sum_up = self._sum_u, self._sum_uips, self._sum_up
+        sum_u[src] -= u[src]
+        sum_uips[src] -= uips[src]
+        sum_up[src] -= up[src]
+        sum_u[dst] += u[dst]
+        sum_uips[dst] += uips[dst]
+        sum_up[dst] += up[dst]
+        if allowed is not None:
+            self._violations += (not allowed[dst]) - (not allowed[src])
 
     def _refresh_core(self, core: int) -> None:
-        obj = self.objective
-        new_ips, new_power = obj.core_terms(
-            core, self._sum_u[core], self._sum_uips[core], self._sum_up[core]
+        new_ips, new_power = _core_terms(
+            self._sum_u[core], self._sum_uips[core], self._sum_up[core],
+            self._idle[core], self._sleep[core],
         )
-        old_ips, old_power = self._core_ips[core], self._core_power[core]
-        weight = obj.weights[core]
+        old_ips = self._core_ips[core]
+        old_power = self._core_power[core]
+        weight = self._weights[core]
         self._weighted_ips += weight * (new_ips - old_ips)
         self._total_power += new_power - old_power
         old_ratio = old_ips / old_power if old_power > 0 else 0.0
@@ -400,27 +486,36 @@ class IncrementalEvaluator:
         self._core_power[core] = new_power
 
     def apply_swap(self, pos_a: int, pos_b: int) -> float:
-        """Swap two slots, update ``J_E`` incrementally, return new value."""
-        alloc = self.allocation
-        thread_a = alloc.slots[pos_a]
-        thread_b = alloc.slots[pos_b]
-        core_a, core_b = alloc.swap(pos_a, pos_b)
-        if core_a != core_b:
-            allowed = self.objective.allowed
-            if thread_a != EMPTY:
-                self._account(thread_a, core_a, -1.0)
-                self._account(thread_a, core_b, +1.0)
-                if allowed is not None:
-                    self._violations += int(not allowed[thread_a, core_b]) - int(
-                        not allowed[thread_a, core_a]
-                    )
-            if thread_b != EMPTY:
-                self._account(thread_b, core_b, -1.0)
-                self._account(thread_b, core_a, +1.0)
-                if allowed is not None:
-                    self._violations += int(not allowed[thread_b, core_a]) - int(
-                        not allowed[thread_b, core_b]
-                    )
-            self._refresh_core(core_a)
-            self._refresh_core(core_b)
-        return self.value
+        """Swap two slots, update ``J_E`` incrementally, return new value.
+
+        Swapping two empty slots, or two slots of one core, changes no
+        core's sums and returns the cached value.
+        """
+        slots = self._slots
+        n_slots = len(slots)
+        if not 0 <= pos_a < n_slots:
+            raise IndexError(f"slot {pos_a} out of range")
+        if not 0 <= pos_b < n_slots:
+            raise IndexError(f"slot {pos_b} out of range")
+        thread_a = slots[pos_a]
+        thread_b = slots[pos_b]
+        if thread_a == thread_b:
+            return self._value
+        slots[pos_a] = thread_b
+        slots[pos_b] = thread_a
+        if thread_a != EMPTY:
+            self._thread_slot[thread_a] = pos_b
+        if thread_b != EMPTY:
+            self._thread_slot[thread_b] = pos_a
+        core_a = pos_a // self._slots_per_core
+        core_b = pos_b // self._slots_per_core
+        if core_a == core_b:
+            return self._value
+        if thread_a != EMPTY:
+            self._move(thread_a, core_a, core_b)
+        if thread_b != EMPTY:
+            self._move(thread_b, core_b, core_a)
+        self._refresh_core(core_a)
+        self._refresh_core(core_b)
+        self._value = value = self._current_value()
+        return value

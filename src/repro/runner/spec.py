@@ -139,11 +139,16 @@ class RunSpec:
                 "scenario via RunSpec.faults so the spec stays hashable"
             )
         if self.scenario != "none":
-            # Validate eagerly so a bad scenario string fails at spec
-            # construction, not minutes later inside a worker.
+            # Validate eagerly so a bad scenario (or governor, below)
+            # string fails at spec construction, not minutes later
+            # inside a worker.
             from repro.scenarios import parse_scenario
 
             parse_scenario(self.scenario)
+        if self.governor != "fixed":
+            from repro.governor.config import parse_governor
+
+            parse_governor(self.governor)
 
     # ------------------------------------------------------------------
     # Identity

@@ -54,6 +54,15 @@ class TestCanonical:
         with pytest.raises(ValueError):
             RunSpec(workload="MTMI", n_epochs=0)
 
+    @pytest.mark.parametrize("governor", ["pinned", "pinned:x", "ondemand"])
+    def test_bad_governor_fails_at_construction(self, governor):
+        with pytest.raises(ValueError):
+            RunSpec(workload="MTMI", governor=governor)
+
+    def test_valid_governors_build(self):
+        for governor in ("fixed", "two_level", "coupled_anneal", "pinned:0"):
+            assert RunSpec(workload="MTMI", governor=governor).governor == governor
+
     def test_label_mentions_the_essentials(self):
         label = RunSpec(
             workload="MTMI", threads=4, balancer="gts", faults="sensor"

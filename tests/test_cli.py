@@ -216,6 +216,10 @@ class TestCliIsRunSpec:
         with pytest.raises(SystemExit, match="threads must be >= 1"):
             main(["run", "--workload", "MTMI", "--threads", "0"])
 
+    def test_bad_spec_value_names_the_flag_not_the_field(self):
+        with pytest.raises(SystemExit, match=r"^--epochs must be >= 1, got 0$"):
+            main(["compare", "--workload", "MTMI", "--epochs", "0"])
+
 
 def _subcommand(name: str) -> argparse.ArgumentParser:
     parser = build_parser()
